@@ -159,8 +159,8 @@ func BenchmarkFig4dParallel(b *testing.B) {
 // across 1, 2, 4 and 8 join workers inside a single window. Wall-clock
 // gains need real cores; on a one-CPU host the sub-benchmarks chiefly
 // demonstrate that the pool costs little and mines identical results (the
-// comparisons metric must not move). wiclean-bench's joinworkers
-// experiment adds the LPT-modeled speedup.
+// comparisons metric must not move). perfbench measures the wall time on
+// real cores.
 func BenchmarkMineJoinWorkers(b *testing.B) {
 	w := benchWorld(b, synth.Soccer(), 500)
 	win := action.Window{Start: 4 * action.Week, End: 12 * action.Week}

@@ -1,7 +1,9 @@
 // Command wiclean-bench regenerates the paper's evaluation: every panel of
 // Figure 4, the §6.2 small-data candidate comparison, the §6.3 quality
 // protocol, Table 1's heuristic grid, and the ablation studies DESIGN.md
-// calls out.
+// calls out. It also re-measures the columnar throughput guard that
+// BENCH_4.json records. Performance beyond the paper is measured by
+// perfbench (bash perfbench/run.sh).
 //
 //	wiclean-bench -fig 4a             # one figure
 //	wiclean-bench -exp quality        # one experiment
@@ -30,40 +32,22 @@ type PhaseReport struct {
 	Seconds float64 `json:"seconds"`
 }
 
-// JoinWorkersReport is one pool size of the joinworkers experiment in the
-// JSON report: serial-vs-parallel wall time plus the LPT-modeled makespan
-// and speedup of the extension-job list (the wall-clock figure a host with
-// that many cores would approach).
-type JoinWorkersReport struct {
-	Workers         int     `json:"workers"`
-	Jobs            int     `json:"jobs"`
-	Comparisons     int64   `json:"comparisons"`
-	MeasuredSeconds float64 `json:"measured_seconds"`
-	BusySeconds     float64 `json:"busy_seconds"`
-	ModelSeconds    float64 `json:"model_seconds"`
-	ModelSpeedup    float64 `json:"model_speedup"`
-}
-
 // BenchReport is the -out payload: what ran, how long each phase took, and
 // the pipeline metrics that explain where the time went (joins performed,
 // patterns admitted/rejected, type pulls, windows mined, ...).
 type BenchReport struct {
-	Timestamp   string                         `json:"timestamp"`
-	Scale       float64                        `json:"scale"`
-	Seed        uint64                         `json:"seed"`
-	Workers     int                            `json:"workers"`
-	JoinWorkers []JoinWorkersReport            `json:"join_workers,omitempty"`
-	Sources     *experiments.SourcesResult     `json:"sources,omitempty"`
-	Columnar    *experiments.ColumnarResult    `json:"columnar,omitempty"`
-	Coordinator *experiments.CoordinatorResult `json:"coordinator,omitempty"`
-	Serving     *experiments.ServingResult     `json:"serving,omitempty"`
-	Phases      []PhaseReport                  `json:"phases"`
-	Metrics     obs.Snapshot                   `json:"metrics"`
+	Timestamp string                      `json:"timestamp"`
+	Scale     float64                     `json:"scale"`
+	Seed      uint64                      `json:"seed"`
+	Workers   int                         `json:"workers"`
+	Columnar  *experiments.ColumnarResult `json:"columnar,omitempty"`
+	Phases    []PhaseReport               `json:"phases"`
+	Metrics   obs.Snapshot                `json:"metrics"`
 }
 
 func main() {
 	fig := flag.String("fig", "", "figure to regenerate: 4a, 4b, 4c, 4d")
-	exp := flag.String("exp", "", "experiment to run: smalldata, quality, table1, ablations, joinworkers, sources, columnar, coordinator, serving")
+	exp := flag.String("exp", "", "experiment to run: smalldata, quality, table1, ablations, columnar (the throughput guard)")
 	all := flag.Bool("all", false, "run everything")
 	scale := flag.Float64("scale", 1.0, "seed-count scale factor (e.g. 0.2 for quick runs)")
 	seed := flag.Uint64("seed", 1, "generator random seed")
@@ -71,7 +55,6 @@ func main() {
 	joinWorkers := flag.Int("join-workers", 0, "intra-window join workers per miner (0 = all cores)")
 	levels := flag.Int("abstraction", 1, "type-hierarchy levels to mine at")
 	viaDump := flag.Bool("viadump", true, "measure preprocessing through the wikitext parse path")
-	faultRate := flag.Float64("fault-rate", 0.2, "transient fault rate for -exp sources and -exp coordinator")
 	out := flag.String("out", "", "write a JSON report (phases + metrics) to this file")
 	flag.Parse()
 
@@ -122,7 +105,7 @@ func main() {
 	}
 
 	run("figure 4a", "4a", func() error {
-		rows, err := figScaled(cfg, sc, experiments.Fig4a)
+		rows, err := experiments.Fig4a(cfg)
 		if err != nil {
 			return err
 		}
@@ -177,71 +160,18 @@ func main() {
 		fmt.Println(experiments.FormatTable1(rows))
 		return nil
 	})
-	run("join workers", "joinworkers", func() error {
-		rows, err := experiments.JoinWorkersScaling(cfg, sc(500), nil)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatJoinWorkers(rows))
-		for _, r := range rows {
-			report.JoinWorkers = append(report.JoinWorkers, JoinWorkersReport{
-				Workers:         r.Workers,
-				Jobs:            r.Jobs,
-				Comparisons:     r.Comparisons,
-				MeasuredSeconds: r.MeasuredWC.Seconds(),
-				BusySeconds:     r.Busy.Seconds(),
-				ModelSeconds:    r.Makespan.Seconds(),
-				ModelSpeedup:    r.Speedup,
-			})
-		}
-		return nil
-	})
-	run("columnar", "columnar", func() error {
-		res, err := experiments.ColumnarBench(cfg, sc(500))
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatColumnar(res))
-		report.Columnar = res
-		return nil
-	})
-	run("coordinator", "coordinator", func() error {
-		res, err := experiments.Coordinator(cfg, sc(200), *faultRate)
-		if res != nil {
-			fmt.Println(experiments.FormatCoordinator(res))
-		}
-		if err != nil {
-			return err
-		}
-		report.Coordinator = res
-		return nil
-	})
-	run("serving", "serving", func() error {
-		res, err := experiments.Serving(cfg, sc(100))
-		if res != nil {
-			fmt.Println(experiments.FormatServing(res))
-		}
-		if err != nil {
-			return err
-		}
-		report.Serving = res
-		return nil
-	})
-	run("sources", "sources", func() error {
-		res, err := experiments.Sources(cfg, sc(300), *faultRate)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatSources(res))
-		report.Sources = res
-		return nil
-	})
 	run("ablations", "ablations", func() error {
 		rows, err := experiments.Ablations(cfg, sc(300))
 		if err != nil {
 			return err
 		}
 		fmt.Println(experiments.FormatAblations(rows))
+		return nil
+	})
+	run("columnar guard", "columnar", func() error {
+		g := experiments.MeasureColumnarGuard()
+		fmt.Println(experiments.FormatColumnarGuard(g))
+		report.Columnar = &experiments.ColumnarResult{Guard: g}
 		return nil
 	})
 
@@ -268,11 +198,4 @@ func main() {
 			slog.Int("phases", len(report.Phases)),
 			slog.Int("counters", len(report.Metrics.Counters)))
 	}
-}
-
-// figScaled adapts Fig4a to the scale factor by temporarily treating its
-// fixed sizes; Fig4a generates its own worlds, so scaling happens inside.
-func figScaled(cfg experiments.Config, sc func(int) int, f func(experiments.Config) ([]experiments.Fig4Row, error)) ([]experiments.Fig4Row, error) {
-	_ = sc // Fig4a's 100/500/1000 sizes mirror the paper; scale via -scale on 4d instead
-	return f(cfg)
 }

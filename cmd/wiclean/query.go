@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"wiclean/internal/action"
-	"wiclean/internal/relational"
 	"wiclean/internal/sql"
 )
 
@@ -41,8 +40,8 @@ func cmdQuery(args []string) error {
 	}
 	db := sql.NewDatabase(lw.mem, win)
 	if *labels {
-		for i := 0; i < db.Labels.Len(); i++ {
-			fmt.Printf("%4d  %s\n", i, db.Labels.Name(relational.Value(i)))
+		for i, name := range db.Labels.Snapshot() {
+			fmt.Printf("%4d  %s\n", i, name)
 		}
 		return nil
 	}

@@ -83,8 +83,8 @@ type Options struct {
 	// leaves the coordinator — the (Seed, job-key, attempt) fault model
 	// of source.Faults applied to dispatches instead of fetches. The
 	// zero value injects nothing. Injected faults are transient: retries
-	// must mask them byte-identically, which is what the coordinator
-	// experiment and the CI cluster job assert.
+	// must mask them byte-identically, which is what
+	// TestPoolFaultInjectionIdentity asserts.
 	Faults source.Faults
 
 	// Obs receives the coordinator metrics (dispatched/redispatched/

@@ -5,30 +5,9 @@ import (
 	"sort"
 	"time"
 
-	"wiclean/internal/action"
-	"wiclean/internal/mining"
-	"wiclean/internal/obs"
 	"wiclean/internal/relational"
 	"wiclean/internal/relational/rowref"
-	"wiclean/internal/synth"
 )
-
-// ColumnarRow is one engine × JoinWorkers measurement of the columnar
-// before/after experiment: the mining-phase wall clock (preprocessing
-// excluded — the rewrite only touches the join path) plus the work
-// counters that must be identical across every row, since both engines
-// run under the same planner and the difftest suite proves their outputs
-// byte-identical.
-type ColumnarRow struct {
-	Engine            string  `json:"engine"` // "rowref" (before) or "columnar" (after)
-	JoinWorkers       int     `json:"join_workers"`
-	MiningSeconds     float64 `json:"mining_seconds"`
-	Comparisons       int64   `json:"comparisons"`
-	Candidates        int     `json:"candidates"`
-	Frequent          int     `json:"frequent"`
-	InternedProbes    int     `json:"interned_probes"`
-	InternedProbeHits int64   `json:"interned_probe_hits"`
-}
 
 // ColumnarGuard is the throughput-guard section of BENCH_4.json: both
 // engines timed on one pinned single-equality hash join (the interned-probe
@@ -43,121 +22,19 @@ type ColumnarGuard struct {
 	ProbeRows       int     `json:"probe_rows"`
 	KeyDomain       int     `json:"key_domain"`
 	Iterations      int     `json:"iterations"`
-	ColumnarSeconds float64 `json:"columnar_seconds"` // best-of-iterations
-	RowRefSeconds   float64 `json:"rowref_seconds"`   // best-of-iterations
+	ColumnarSeconds float64 `json:"columnar_seconds"` // median of iterations
+	RowRefSeconds   float64 `json:"rowref_seconds"`   // median of iterations
 	Ratio           float64 `json:"ratio"`            // rowref / columnar (>1: columnar faster)
 }
 
-// ColumnarResult is the BENCH_4 payload: the engine × worker-count sweep,
-// the end-to-end mining-phase speedups, the interning/arena counters that
-// explain where the speedup comes from, and the portable throughput guard.
+// ColumnarResult is the BENCH_4.json payload: the throughput guard.
 type ColumnarResult struct {
-	Seeds        int           `json:"seeds"`
-	Rows         []ColumnarRow `json:"rows"`
-	SpeedupJW1   float64       `json:"speedup_jw1"` // rowref / columnar mining seconds at 1 worker
-	SpeedupJW8   float64       `json:"speedup_jw8"` // same at 8 workers
-	DictEntries  int64         `json:"dict_entries"`
-	DictBytes    int64         `json:"dict_bytes"`
-	ArenaColumns int64         `json:"arena_columns"` // columns served by the arenas (columnar runs)
-	ArenaReuses  int64         `json:"arena_reuses"`  // of which recycled rather than allocated
-	Guard        ColumnarGuard `json:"guard"`
-}
-
-// columnarSweep is the engine × JoinWorkers matrix of the experiment:
-// rowref first (the "before" engine the columnar rewrite replaced, retained
-// in-tree as the reference Impl), then the columnar default.
-var columnarSweep = []struct {
-	engine string
-	impl   func() relational.Impl
-	jw     []int
-}{
-	{"rowref", func() relational.Impl { return rowref.New() }, []int{1, 8}},
-	{"columnar", func() relational.Impl { return nil }, []int{1, 8}},
-}
-
-// ColumnarBench measures the columnar rewrite on the join-bound workload of
-// the BENCH_2 scaling experiment (soccer, tau 0.2, the 8-week window whose
-// extension joins dominate): each engine at JoinWorkers 1 and 8, mining
-// phase only. It fails loudly if any work counter diverges between rows —
-// the same determinism contract the difftest suite enforces bytewise.
-func ColumnarBench(cfg Config, seeds int) (*ColumnarResult, error) {
-	w, err := BuildWorld(cfg, synth.Soccer(), seeds)
-	if err != nil {
-		return nil, err
-	}
-	mcfg := mining.PM(0.2)
-	mcfg.MaxAbstraction = cfg.Abstraction
-	mcfg.Obs = cfg.Obs
-	win := action.Window{Start: 4 * action.Week, End: 12 * action.Week}
-
-	res := &ColumnarResult{Seeds: seeds}
-	var arenaColsBefore, arenaReusesBefore int64
-	for _, eng := range columnarSweep {
-		if eng.engine == "columnar" && cfg.Obs != nil {
-			// Arena counters are cumulative on the registry; snapshot them so
-			// the report attributes only the columnar runs' arena traffic.
-			arenaColsBefore = cfg.Obs.Counter(obs.RelationalArenaColumns).Value()
-			arenaReusesBefore = cfg.Obs.Counter(obs.RelationalArenaReuses).Value()
-		}
-		for _, jw := range eng.jw {
-			mcfg.JoinBackend = eng.impl()
-			mcfg.JoinWorkers = jw
-			r, err := mining.Mine(w.Store, w.Seeds, w.Domain.SeedType, win, mcfg)
-			if err != nil {
-				return nil, err
-			}
-			row := ColumnarRow{
-				Engine:            eng.engine,
-				JoinWorkers:       jw,
-				MiningSeconds:     r.Stats.Mining.Seconds(),
-				Comparisons:       r.Stats.Join.Comparisons,
-				Candidates:        r.Stats.Candidates,
-				Frequent:          r.Stats.FrequentFound,
-				InternedProbes:    r.Stats.Join.InternedProbes,
-				InternedProbeHits: r.Stats.Join.InternedProbeHits,
-			}
-			if len(res.Rows) > 0 {
-				base := res.Rows[0]
-				if row.Comparisons != base.Comparisons || row.Candidates != base.Candidates ||
-					row.Frequent != base.Frequent || row.InternedProbes != base.InternedProbes {
-					return nil, fmt.Errorf("experiments: work counters diverged at %s/jw%d: %+v != %+v",
-						eng.engine, jw, row, base)
-				}
-			}
-			res.Rows = append(res.Rows, row)
-		}
-	}
-	if cfg.Obs != nil {
-		res.DictEntries = int64(cfg.Obs.Gauge(obs.MiningDictEntries).Value())
-		res.DictBytes = int64(cfg.Obs.Gauge(obs.MiningDictBytes).Value())
-		res.ArenaColumns = cfg.Obs.Counter(obs.RelationalArenaColumns).Value() - arenaColsBefore
-		res.ArenaReuses = cfg.Obs.Counter(obs.RelationalArenaReuses).Value() - arenaReusesBefore
-	}
-	res.SpeedupJW1 = columnarSpeedup(res.Rows, 1)
-	res.SpeedupJW8 = columnarSpeedup(res.Rows, 8)
-	res.Guard = MeasureColumnarGuard()
-	return res, nil
-}
-
-// columnarSpeedup divides rowref by columnar mining time at one pool size.
-func columnarSpeedup(rows []ColumnarRow, jw int) float64 {
-	secs := func(engine string) float64 {
-		for _, r := range rows {
-			if r.Engine == engine && r.JoinWorkers == jw {
-				return r.MiningSeconds
-			}
-		}
-		return 0
-	}
-	if c := secs("columnar"); c > 0 {
-		return secs("rowref") / c
-	}
-	return 0
+	Guard ColumnarGuard `json:"guard"`
 }
 
 // Guard workload shape: a single-equality hash join — the interned-probe
 // fast path that carries the mining loop — big enough (~470k output rows)
-// that one iteration takes tens of milliseconds and best-of-N is stable.
+// that one iteration takes tens of milliseconds and the median is stable.
 const (
 	guardBuildRows  = 4000
 	guardProbeRows  = 120000
@@ -229,30 +106,12 @@ func MeasureColumnarGuard() ColumnarGuard {
 	return g
 }
 
-// FormatColumnar renders the sweep and the guard measurement.
-func FormatColumnar(res *ColumnarResult) string {
-	header := []string{"engine", "join workers", "mining", "comparisons", "interned probes", "probe hits"}
-	var body [][]string
-	for _, r := range res.Rows {
-		body = append(body, []string{
-			r.Engine,
-			fmt.Sprintf("%d", r.JoinWorkers),
-			formatDuration(time.Duration(r.MiningSeconds * float64(time.Second))),
-			fmt.Sprintf("%d", r.Comparisons),
-			fmt.Sprintf("%d", r.InternedProbes),
-			fmt.Sprintf("%d", r.InternedProbeHits),
-		})
-	}
-	return fmt.Sprintf(
-		"Columnar rewrite: mining phase, rowref (before) vs columnar (after) (soccer, tau 0.2, 8-week window)\n%s"+
-			"speedup: %.2fx at 1 worker, %.2fx at 8 workers\n"+
-			"dictionary: %d entries, %d bytes; arena: %d columns served, %d reused\n"+
-			"guard join (%d×%d rows, %d keys): columnar %s, rowref %s, ratio %.2fx\n",
-		renderTable(header, body),
-		res.SpeedupJW1, res.SpeedupJW8,
-		res.DictEntries, res.DictBytes, res.ArenaColumns, res.ArenaReuses,
-		res.Guard.BuildRows, res.Guard.ProbeRows, res.Guard.KeyDomain,
-		formatDuration(time.Duration(res.Guard.ColumnarSeconds*float64(time.Second))),
-		formatDuration(time.Duration(res.Guard.RowRefSeconds*float64(time.Second))),
-		res.Guard.Ratio)
+// FormatColumnarGuard renders one guard measurement.
+func FormatColumnarGuard(g ColumnarGuard) string {
+	return fmt.Sprintf("Columnar throughput guard: %d×%d-row hash join over %d keys, median of %d rounds\n"+
+		"columnar %s, rowref %s, ratio %.2fx\n",
+		g.BuildRows, g.ProbeRows, g.KeyDomain, g.Iterations,
+		formatDuration(time.Duration(g.ColumnarSeconds*float64(time.Second))),
+		formatDuration(time.Duration(g.RowRefSeconds*float64(time.Second))),
+		g.Ratio)
 }

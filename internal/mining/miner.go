@@ -36,11 +36,6 @@ type miner struct {
 	engine       relational.Engine
 	partitionMin int
 
-	// joinJobs records the busy time of every extension job in job order —
-	// the job list an LPT scheduler would distribute, mirroring
-	// windows.Outcome.WindowDurations one level down.
-	joinJobs []time.Duration
-
 	// abstract_actions[w] with realizations[w][a]: template -> two-column
 	// (src, dst) realization table.
 	templates     map[pattern.Template]*relational.Table
@@ -477,7 +472,6 @@ func (m *miner) expandOnce() bool {
 		}
 		for _, jr := range m.runExtendJobs(jobs) {
 			m.stats.Join.Add(jr.stats)
-			m.joinJobs = append(m.joinJobs, jr.dur)
 			for _, c := range jr.cands {
 				if m.admit(c.pat, c.tbl) {
 					admitted = true
@@ -554,7 +548,6 @@ func (m *miner) result() *Result {
 		SeedSize: len(m.seeds),
 		Window:   m.window,
 		Stats:    m.stats,
-		JoinJobs: m.joinJobs,
 	}
 	all := make([]pattern.Pattern, 0, len(m.order))
 	for _, key := range m.order {

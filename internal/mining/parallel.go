@@ -42,7 +42,7 @@ type candidate struct {
 type jobResult struct {
 	cands []candidate
 	stats relational.Stats // this job's engine-work delta
-	dur   time.Duration    // busy time, for utilization and LPT modeling
+	dur   time.Duration    // busy time, for the join-worker utilization histogram
 }
 
 // resolveJoinWorkers maps the config knob to a concrete worker count.
@@ -75,13 +75,13 @@ func (m *miner) newEngine() relational.Engine {
 // only on the pattern and template.
 func (m *miner) runJob(eng *relational.Engine, job extendJob) jobResult {
 	before := eng.Stats
-	start := time.Now() //wiclean:allow-nondet job busy time feeds utilization metrics and LPT modeling only
+	start := time.Now() //wiclean:allow-nondet job busy time feeds the join-worker utilization histogram only
 	var cands []candidate
 	for _, ext := range job.sp.Pattern.Extensions(job.tmpl) {
 		tbl := m.extendWith(eng, job.sp, job.tmpl, ext)
 		cands = append(cands, candidate{pat: ext.Pattern, tbl: tbl})
 	}
-	//wiclean:allow-nondet dur feeds utilization metrics and LPT modeling; admission order is job order
+	//wiclean:allow-nondet dur feeds the join-worker utilization histogram; admission order is job order
 	return jobResult{cands: cands, stats: eng.Stats.Minus(before), dur: time.Since(start)}
 }
 

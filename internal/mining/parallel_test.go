@@ -83,10 +83,6 @@ func TestMineJoinWorkerDeterminism(t *testing.T) {
 		if got, want := stripDurations(par.Stats), stripDurations(serial.Stats); got != want {
 			t.Fatalf("stats diverge:\nserial   %+v\nparallel %+v", want, got)
 		}
-		if len(par.JoinJobs) != len(serial.JoinJobs) {
-			t.Fatalf("job count %d parallel vs %d serial",
-				len(par.JoinJobs), len(serial.JoinJobs))
-		}
 	}
 }
 
@@ -179,24 +175,18 @@ func TestResolveJoinWorkers(t *testing.T) {
 	}
 }
 
-// TestMineJoinWorkersRecordsJobs checks the scaling experiment's input:
-// every extension batch contributes its jobs in deterministic order, and
-// the serial run records the same job count as the parallel one.
-func TestMineJoinWorkersRecordsJobs(t *testing.T) {
+// TestMineJoinWorkersPlannerCoversEveryJoin checks that a pooled miner
+// keeps AutoStrategy planning active on every worker's engine: planner
+// decisions must cover every join.
+func TestMineJoinWorkersPlannerCoversEveryJoin(t *testing.T) {
 	f := newFixture(t)
 	res, err := Mine(f.store, f.seeds, "FootballPlayer", f.window, parallelConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.JoinJobs) == 0 {
-		t.Fatal("no extension jobs recorded")
+	if res.Stats.Join.Joins == 0 {
+		t.Fatal("no joins ran")
 	}
-	// Each job ran at least one join, so jobs cannot outnumber joins.
-	if len(res.JoinJobs) > res.Stats.Join.Joins {
-		t.Fatalf("%d jobs recorded but only %d joins", len(res.JoinJobs), res.Stats.Join.Joins)
-	}
-	// The engine default keeps AutoStrategy planning active: planner counts
-	// must cover every join.
 	planned := res.Stats.Join.PlannedHash + res.Stats.Join.PlannedSortMerge + res.Stats.Join.PlannedNested
 	if planned != res.Stats.Join.Joins {
 		t.Fatalf("planner decisions %d != joins %d", planned, res.Stats.Join.Joins)

@@ -419,11 +419,16 @@ func Write(w io.Writer, f *File) error {
 
 // Read parses and validates a model written by Write. A stream that is
 // not a wiclean model at all fails with an error wrapping ErrNotModel, so
-// callers can distinguish "wrong format" from "corrupt model".
+// callers can distinguish "wrong format" from "corrupt model". Anything
+// but whitespace after the model's JSON value is a decoding error.
 func Read(r io.Reader) (*File, error) {
 	var f File
-	if err := json.NewDecoder(r).Decode(&f); err != nil {
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(&f); err != nil {
 		return nil, fmt.Errorf("model: decoding: %w", err)
+	}
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		return nil, errors.New("model: decoding: trailing data after the JSON value")
 	}
 	if err := f.Validate(); err != nil {
 		return nil, err

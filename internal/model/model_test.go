@@ -236,6 +236,45 @@ func TestReadRejections(t *testing.T) {
 	})
 }
 
+// TestReadTrailingData pins that a model file is exactly one JSON value:
+// trailing whitespace is accepted, any other trailing byte is a decoding
+// error.
+func TestReadTrailingData(t *testing.T) {
+	fx := mineFixture(t)
+	var buf bytes.Buffer
+	if err := model.Write(&buf, model.Snapshot(fx.out, fx.reg, fx.prov)); err != nil {
+		t.Fatal(err)
+	}
+	valid := buf.String()
+	cases := []struct {
+		name    string
+		input   string
+		wantErr bool
+	}{
+		{"valid", valid, false},
+		{"trailing whitespace", valid + " \t\n\n", false},
+		{"trailing object", valid + "{}", true},
+		{"trailing garbage", valid + "leftover", true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f, err := model.Read(strings.NewReader(tc.input))
+			if tc.wantErr {
+				if err == nil || !strings.Contains(err.Error(), "model: decoding") {
+					t.Fatalf("err = %v, want a decoding error", err)
+				}
+				if f != nil {
+					t.Fatal("rejected input still returned a model")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("err = %v", err)
+			}
+		})
+	}
+}
+
 func TestSaveLoadFile(t *testing.T) {
 	fx := mineFixture(t)
 	f := model.Snapshot(fx.out, fx.reg, fx.prov)

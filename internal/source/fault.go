@@ -47,9 +47,8 @@ type Faults struct {
 }
 
 // FaultSource wraps a HistorySource with the Faults fault model. It is
-// test and benchmark infrastructure, but lives in the production package
-// because the resilience benchmark (wiclean-bench -exp sources) drives
-// the real CLI stack through it.
+// test infrastructure, but lives in the production package because
+// Options.Faults wires it into the real CLI stack.
 type FaultSource struct {
 	src HistorySource
 	f   Faults

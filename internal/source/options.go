@@ -50,7 +50,7 @@ type Options struct {
 	// the cache).
 	CacheActions int
 	// Faults, when non-nil, injects deterministic faults under the
-	// resilience stack — the benchmark and test hook.
+	// resilience stack — the test hook.
 	Faults *Faults
 	// Obs receives the stack's metrics; nil is a no-op.
 	Obs *obs.Registry

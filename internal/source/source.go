@@ -12,9 +12,9 @@
 //
 // The Store adapter at the end of the stack implements mining.Store, which
 // is how Algorithms 1–3 consume the layer without knowing its shape. A
-// deterministic fault-injection source (Faults) exists for tests and for
-// the resilience benchmark: with transient faults below the retry budget,
-// mining output is byte-identical to a fault-free run.
+// deterministic fault-injection source (Faults) exists for tests: with
+// transient faults below the retry budget, mining output is byte-identical
+// to a fault-free run.
 package source
 
 import (

@@ -7,6 +7,7 @@ import (
 
 	"wiclean/internal/action"
 	"wiclean/internal/dump"
+	"wiclean/internal/intern"
 	"wiclean/internal/relational"
 	"wiclean/internal/taxonomy"
 )
@@ -14,51 +15,11 @@ import (
 // taxID converts an engine value back to an entity handle.
 func taxID(v relational.Value) taxonomy.EntityID { return taxonomy.EntityID(v) }
 
-// Dict interns strings as dense int32 values so string-valued attributes
-// (relation labels) can live in the engine's integer tables.
-type Dict struct {
-	byName map[string]relational.Value
-	names  []string
-}
-
-// NewDict returns an empty dictionary.
-func NewDict() *Dict {
-	return &Dict{byName: map[string]relational.Value{}}
-}
-
-// ID interns s.
-func (d *Dict) ID(s string) relational.Value {
-	if v, ok := d.byName[s]; ok {
-		return v
-	}
-	v := relational.Value(len(d.names))
-	d.byName[s] = v
-	d.names = append(d.names, s)
-	return v
-}
-
-// Lookup returns the id of an already-interned string.
-func (d *Dict) Lookup(s string) (relational.Value, bool) {
-	v, ok := d.byName[s]
-	return v, ok
-}
-
-// Name returns the string for an id, or "" when out of range or null.
-func (d *Dict) Name(v relational.Value) string {
-	if v < 0 || int(v) >= len(d.names) {
-		return ""
-	}
-	return d.names[int(v)]
-}
-
-// Len returns the number of interned strings.
-func (d *Dict) Len() int { return len(d.names) }
-
 // Database is a queryable view of a revision history: the actions relation
 // plus the label dictionary needed to render results.
 type Database struct {
 	Catalog Catalog
-	Labels  *Dict
+	Labels  *intern.Dict
 	History *dump.History
 }
 
@@ -70,7 +31,7 @@ type Database struct {
 //
 // This is the relational face of Figure 1 — the same rows, queryable.
 func NewDatabase(h *dump.History, w action.Window) *Database {
-	db := &Database{Catalog: Catalog{}, Labels: NewDict(), History: h}
+	db := &Database{Catalog: Catalog{}, Labels: intern.NewDict(), History: h}
 	cols := []string{"op", "src", "label", "dst", "t"}
 	raw := relational.NewTable(cols...)
 	all := h.AllActions(w)
@@ -94,7 +55,7 @@ func (db *Database) row(a action.Action) relational.Row {
 	return relational.Row{
 		op,
 		relational.Value(a.Edge.Src),
-		db.Labels.ID(string(a.Edge.Label)),
+		relational.Value(db.Labels.Intern(string(a.Edge.Label))),
 		relational.Value(a.Edge.Dst),
 		relational.Value(a.T),
 	}
@@ -129,7 +90,7 @@ func (db *Database) Render(res *Result, limit int) string {
 			case strings.HasSuffix(res.Columns[j], "src") || strings.HasSuffix(res.Columns[j], "dst"):
 				b.WriteString(reg.Name(taxID(v)))
 			case strings.HasSuffix(res.Columns[j], "label"):
-				b.WriteString(db.Labels.Name(v))
+				b.WriteString(db.labelName(v))
 			default:
 				fmt.Fprintf(&b, "%d", v)
 			}
@@ -137,6 +98,15 @@ func (db *Database) Render(res *Result, limit int) string {
 		b.WriteByte('\n')
 	}
 	return b.String()
+}
+
+// labelName returns the label a value interns, or "" for a value the
+// dictionary never minted.
+func (db *Database) labelName(v relational.Value) string {
+	if v < 0 || int(v) >= db.Labels.Len() {
+		return ""
+	}
+	return db.Labels.String(uint32(v))
 }
 
 // Tables lists the catalog's table names, sorted.

@@ -287,24 +287,18 @@ func sprint(n int64) string {
 	return string(buf[i:])
 }
 
-func TestDictRoundTrip(t *testing.T) {
-	d := NewDict()
-	a := d.ID("alpha")
-	b := d.ID("beta")
-	if d.ID("alpha") != a {
-		t.Error("interning must be stable")
-	}
-	if d.Name(a) != "alpha" || d.Name(b) != "beta" {
-		t.Error("Name lookup")
-	}
-	if d.Name(relational.Null) != "" || d.Name(99) != "" {
-		t.Error("out-of-range Name should be empty")
-	}
-	if d.Len() != 2 {
-		t.Errorf("Len = %d", d.Len())
-	}
-	if _, ok := d.Lookup("gamma"); ok {
-		t.Error("Lookup miss expected")
+// TestRenderLabelOutsideDictionary pins the render path's bounds check: a
+// label column whose value the dictionary never minted renders empty
+// instead of panicking.
+func TestRenderLabelOutsideDictionary(t *testing.T) {
+	reg := taxonomy.NewRegistry(taxonomy.New())
+	h := dump.NewHistory(reg)
+	db := NewDatabase(h, action.Window{Start: 0, End: 100})
+	tbl := relational.NewTable("label", "t")
+	tbl.Append(relational.Row{99, 7})
+	got := db.Render(&Result{Columns: []string{"label", "t"}, Table: tbl}, 0)
+	if want := "label | t\n | 7\n"; got != want {
+		t.Fatalf("Render = %q, want %q", got, want)
 	}
 }
 
