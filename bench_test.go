@@ -174,32 +174,6 @@ func BenchmarkMineJoinWorkers(b *testing.B) {
 	}
 }
 
-// BenchmarkRelationalPartitionedProbe compares the serial hash probe with
-// the partitioned probe on a large probe side.
-func BenchmarkRelationalPartitionedProbe(b *testing.B) {
-	l := relational.NewTable("v0", "v1")
-	r := relational.NewTable("src", "dst")
-	for i := 0; i < 500; i++ {
-		l.Append(relational.Row{relational.Value(i), relational.Value(i + 20000)})
-	}
-	for i := 0; i < 20000; i++ {
-		r.Append(relational.Row{relational.Value(i % 500), relational.Value(i)})
-	}
-	spec := relational.JoinSpec{
-		EqL: []int{0}, EqR: []int{0},
-		LOut: []int{0, 1}, ROut: []int{1},
-	}
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			e := &relational.Engine{Strategy: relational.HashStrategy, Parallelism: workers}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				e.Join(l, r, spec)
-			}
-		})
-	}
-}
-
 // BenchmarkSmallDataCandidates is the §6.2 experiment: candidates
 // considered with and without incremental graph construction.
 func BenchmarkSmallDataCandidates(b *testing.B) {

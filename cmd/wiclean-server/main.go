@@ -52,7 +52,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"flag"
@@ -61,15 +60,12 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
-	"strings"
 	"syscall"
 	"time"
 
 	"wiclean/internal/action"
 	"wiclean/internal/coord"
 	"wiclean/internal/core"
-	"wiclean/internal/dump"
 	"wiclean/internal/logx"
 	"wiclean/internal/mining"
 	"wiclean/internal/model"
@@ -77,147 +73,8 @@ import (
 	"wiclean/internal/obs/trace"
 	"wiclean/internal/plugin"
 	"wiclean/internal/source"
-	"wiclean/internal/synth"
-	"wiclean/internal/taxonomy"
 	"wiclean/internal/windows"
 )
-
-// world is the mined input: a source-stack store, the registry, seeds and
-// the revision span.
-type world struct {
-	store    mining.Store
-	reg      *taxonomy.Registry
-	seeds    []taxonomy.EntityID
-	seedType taxonomy.Type
-	span     action.Window
-}
-
-// loadWorld resolves -data / -domain plus the -source* flags into the
-// store the server mines and serves. It mirrors the wiclean CLI's loader:
-// registry and seeds come from the data directory (or the synthetic
-// generator), actions from the selected source.
-func loadWorld(data, domain string, seeds int, seed uint64, opts source.Options, metrics *obs.Registry, lg *slog.Logger) (*world, error) {
-	w := &world{}
-	var mem *dump.History
-	kind := opts.Kind
-	if kind == "" {
-		kind = source.KindMemory
-	}
-
-	if data != "" {
-		uf, err := os.Open(filepath.Join(data, "universe.jsonl"))
-		if err != nil {
-			return nil, err
-		}
-		w.reg, err = dump.ReadUniverse(uf)
-		uf.Close()
-		if err != nil {
-			return nil, err
-		}
-		sf, err := os.Open(filepath.Join(data, "seeds.txt"))
-		if err != nil {
-			return nil, err
-		}
-		sc := bufio.NewScanner(sf)
-		for sc.Scan() {
-			name := strings.TrimSpace(sc.Text())
-			if name == "" {
-				continue
-			}
-			id, ok := w.reg.Lookup(name)
-			if !ok {
-				sf.Close()
-				return nil, fmt.Errorf("seeds.txt references unknown entity %q", name)
-			}
-			w.seeds = append(w.seeds, id)
-		}
-		err = sc.Err()
-		sf.Close()
-		if err != nil {
-			return nil, err
-		}
-		if len(w.seeds) == 0 {
-			return nil, fmt.Errorf("seeds.txt holds no seed entities")
-		}
-		w.seedType = w.reg.TypeOf(w.seeds[0])
-		switch kind {
-		case source.KindMemory:
-			af, err := os.Open(filepath.Join(data, "actions.jsonl"))
-			if err != nil {
-				return nil, err
-			}
-			recs, err := dump.ReadActions(af)
-			af.Close()
-			if err != nil {
-				return nil, err
-			}
-			mem = dump.NewHistory(w.reg)
-			if skipped := mem.IngestRecords(recs); skipped > 0 {
-				lg.Warn("skipped action records referencing unknown entities", slog.Int("count", skipped))
-			}
-			w.span = mem.Span()
-		case source.KindDump:
-			if opts.Path == "" {
-				opts.Path = filepath.Join(data, "actions.jsonl")
-			}
-		}
-	} else {
-		if kind == source.KindDump {
-			return nil, fmt.Errorf("-source dump needs -data")
-		}
-		d, err := synth.DomainByName(domain)
-		if err != nil {
-			return nil, err
-		}
-		p := synth.DefaultParams(d, seeds)
-		p.Seed = seed
-		sw, err := synth.Generate(p)
-		if err != nil {
-			return nil, err
-		}
-		w.reg, w.seeds, w.seedType = sw.Reg, sw.Seeds, d.SeedType
-		if kind == source.KindMemory {
-			mem = sw.History
-			w.span = sw.Span
-		}
-	}
-
-	switch kind {
-	case source.KindDump:
-		f, err := os.Open(opts.Path)
-		if err != nil {
-			return nil, err
-		}
-		span, n, err := source.ScanSpan(f)
-		f.Close()
-		if err != nil {
-			return nil, err
-		}
-		if n == 0 {
-			return nil, fmt.Errorf("%s holds no action records", opts.Path)
-		}
-		w.span = span
-	case source.KindHTTP:
-		if opts.URL == "" {
-			return nil, fmt.Errorf("-source http needs -source-url")
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		span, err := source.NewHTTP(opts.URL, w.reg, nil).Span(ctx)
-		if err != nil {
-			return nil, fmt.Errorf("fetching remote span: %w", err)
-		}
-		w.span = span
-	}
-
-	opts.Obs = metrics
-	st, err := opts.Store(context.Background(), mem, w.reg)
-	if err != nil {
-		return nil, err
-	}
-	w.store = st
-	return w, nil
-}
 
 // workerTraceID reads the trace ID the tracing middleware put on the
 // request context — the exemplar extractor for the worker-mode metrics
@@ -243,8 +100,7 @@ func main() {
 	suggestQPS := flag.Float64("suggest-qps", 0, "per-client /suggest token-bucket rate in requests/second (0 = unlimited)")
 	suggestBurst := flag.Float64("suggest-burst", 0, "per-client /suggest burst size (0 = 2x -suggest-qps, min 1)")
 	suggestQueue := flag.Int("suggest-queue", 0, "bounded accept queue: max concurrently admitted /suggest requests; excess is shed with 429 (0 = unbounded)")
-	suggestCache := flag.Int("suggest-cache", 16<<20, "memory tier of the /suggest response cache in bytes (0 disables caching)")
-	suggestCacheDir := flag.String("suggest-cache-dir", "", "optional disk tier of the /suggest response cache (promote-on-hit)")
+	suggestCache := flag.Int("suggest-cache", 16<<20, "/suggest response cache size in bytes (0 disables caching)")
 	checkpoint := flag.String("checkpoint", "", "persist refinement state here; a restarted server resumes mining from it")
 	checkpointEvery := flag.Int("checkpoint-every", 0, "checkpoint every Nth refinement iteration (0 = every)")
 	traceOut := flag.String("trace-out", "", "append exported traces to this JSONL file (analyze with wiclean-trace)")
@@ -261,9 +117,13 @@ func main() {
 	}
 
 	metrics := obs.NewRegistry()
-	w, err := loadWorld(*data, *domain, *seeds, *seed, opts, metrics, lg)
+	opts.Obs = metrics
+	w, err := source.LoadWorld(context.Background(), *data, *domain, *seeds, *seed, opts)
 	if err != nil {
 		fatal("loading world", err)
+	}
+	if w.Skipped > 0 {
+		lg.Warn("skipped action records referencing unknown entities", slog.Int("count", w.Skipped))
 	}
 	var traceSink *os.File
 	if *traceOut != "" {
@@ -284,7 +144,7 @@ func main() {
 	cfg.Workers = *workers
 	cfg.JoinWorkers = *joinWorkers
 
-	sys := core.New(w.store, cfg).WithObs(metrics).WithTracer(tracer)
+	sys := core.New(w.Store, cfg).WithObs(metrics).WithTracer(tracer)
 
 	// Bind the port before mining: /healthz is alive from the first
 	// moment, /readyz and the API answer 503 until the gate flips.
@@ -309,7 +169,7 @@ func main() {
 	// the universe, the revision span and the semantic mining knobs, so a
 	// coordinator and this instance agree on it exactly when they would
 	// mine identical bytes.
-	prov, err := model.Fingerprint(w.reg, w.span, sys.Config())
+	prov, err := model.Fingerprint(w.Reg, w.Span, sys.Config())
 	if err != nil {
 		fatal("fingerprinting", err)
 	}
@@ -317,7 +177,7 @@ func main() {
 	if *joinWorkers != 0 {
 		mcfg.JoinWorkers = *joinWorkers
 	}
-	mineWorker := coord.NewWorker(w.store, prov, mcfg, metrics)
+	mineWorker := coord.NewWorker(w.Store, prov, mcfg, metrics)
 
 	if *workerMode {
 		// Worker mode: never mine at startup. The instance is ready as
@@ -333,8 +193,8 @@ func main() {
 			fmt.Fprintf(rw, `{"ok":true,"role":"worker","uptime_seconds":%.3f}`+"\n", time.Since(start).Seconds())
 		})
 		mux.Handle("GET /metrics", metrics.MetricsHandler())
-		mux.Handle("GET /history", source.HistoryHandler(w.store,
-			func() action.Window { return w.span }))
+		mux.Handle("GET /history", source.HistoryHandler(w.Store,
+			func() action.Window { return w.Span }))
 		mux.Handle("POST /mine", mineWorker)
 		h := metrics.HTTPMiddlewareTraced(mux, workerTraceID,
 			"/healthz", "/metrics", "/history", "/mine")
@@ -368,11 +228,11 @@ func main() {
 			if *checkpoint != "" {
 				sys.WithCheckpoint(model.NewCheckpointer(*checkpoint, prov, metrics), *checkpointEvery)
 			}
-			if _, err := sys.Mine(w.seeds, w.seedType, w.span); err != nil {
+			if _, err := sys.Mine(w.Seeds, w.SeedType, w.Span); err != nil {
 				fatal("mining", err)
 			}
 			if *saveModel != "" {
-				if err := model.Save(*saveModel, model.Snapshot(sys.Outcome(), w.reg, prov), metrics); err != nil {
+				if err := model.Save(*saveModel, model.Snapshot(sys.Outcome(), w.Reg, prov), metrics); err != nil {
 					fatal("saving model", err)
 				}
 				lg.Info("model saved", slog.String("path", *saveModel))
@@ -395,18 +255,7 @@ func main() {
 			}, metrics))
 		}
 		srv.WithQueue(plugin.NewAcceptQueue(*suggestQueue, metrics))
-		if *suggestCacheDir != "" {
-			// Disk-tier I/O errors degrade to cache misses by design, so a
-			// missing directory would silently disable the tier — create it
-			// up front and fail loudly if we cannot.
-			if err := os.MkdirAll(*suggestCacheDir, 0o755); err != nil {
-				fatal("creating -suggest-cache-dir", err)
-			}
-		}
-		srv.WithCache(plugin.NewResponseCache(plugin.CacheConfig{
-			MaxBytes: *suggestCache,
-			Dir:      *suggestCacheDir,
-		}, metrics))
+		srv.WithCache(plugin.NewResponseCache(plugin.CacheConfig{MaxBytes: *suggestCache}, metrics))
 		if *modelPath != "" {
 			// Hot reload: SIGHUP re-reads -model and atomically swaps the
 			// served system. The file must describe the same universe the
@@ -424,7 +273,7 @@ func main() {
 					return nil, "", fmt.Errorf("reload %s: model universe %s does not match serving universe %s",
 						*modelPath, f.Provenance.Universe, prov.Universe)
 				}
-				nsys := core.New(w.store, cfg).WithObs(metrics).WithTracer(tracer)
+				nsys := core.New(w.Store, cfg).WithObs(metrics).WithTracer(tracer)
 				nsys.UseOutcome(f.Outcome())
 				return nsys, f.Provenance.Hash, nil
 			}

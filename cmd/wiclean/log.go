@@ -31,29 +31,29 @@ func cmdLog(args []string) error {
 	var ids []taxonomy.EntityID
 	if *entities == "" {
 		n := 3
-		if len(lw.seeds) < n {
-			n = len(lw.seeds)
+		if len(lw.Seeds) < n {
+			n = len(lw.Seeds)
 		}
-		ids = lw.seeds[:n]
+		ids = lw.Seeds[:n]
 	} else {
 		for _, name := range strings.Split(*entities, ",") {
 			name = strings.TrimSpace(name)
-			id, ok := lw.reg.Lookup(name)
+			id, ok := lw.Reg.Lookup(name)
 			if !ok {
 				return fmt.Errorf("unknown entity %q", name)
 			}
 			ids = append(ids, id)
 		}
 	}
-	win := lw.span
+	win := lw.Span
 	if *from != 0 {
 		win.Start = action.Time(*from)
 	}
 	if *to != 0 {
 		win.End = action.Time(*to)
 	}
-	as := lw.store.ActionsOf(ids, win)
-	rows := action.Table(as, lw.reg)
+	as := lw.Store.ActionsOf(ids, win)
+	rows := action.Table(as, lw.Reg)
 	if len(rows) > *limit {
 		rows = rows[:*limit]
 	}

@@ -28,17 +28,17 @@ func cmdQuery(args []string) error {
 	if err != nil {
 		return err
 	}
-	win := lw.span
+	win := lw.Span
 	if *from != 0 {
 		win.Start = action.Time(*from)
 	}
 	if *to != 0 {
 		win.End = action.Time(*to)
 	}
-	if lw.mem == nil {
+	if lw.Mem == nil {
 		return fmt.Errorf("query needs the materialized revision log; rerun with -source memory")
 	}
-	db := sql.NewDatabase(lw.mem, win)
+	db := sql.NewDatabase(lw.Mem, win)
 	if *labels {
 		for i, name := range db.Labels.Snapshot() {
 			fmt.Printf("%4d  %s\n", i, name)

@@ -140,10 +140,6 @@ func (s *System) Outcome() *windows.Outcome { return s.outcome }
 // server handed a saved model reaches ready without invoking the miner.
 func (s *System) UseOutcome(o *windows.Outcome) { s.outcome = o }
 
-// UseModel installs a previously mined model (see windows.Model) so that
-// detection and assistance can run without re-mining.
-func (s *System) UseModel(m *windows.Model) { s.UseOutcome(m.Outcome()) }
-
 // DetectErrors runs Algorithm 3 for every discovered pattern over its
 // mined window width across the span, in parallel — the cleaning
 // application of §5. Mine must have run.

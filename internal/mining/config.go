@@ -54,12 +54,6 @@ type Config struct {
 	// (PM−inc).
 	Incremental bool
 
-	// ProbePartitionMin overrides the probe-side row count at which hash
-	// joins switch to the partitioned parallel probe (0 = the engine
-	// default). Tests force it to 1 so sharded probes fire on small tables;
-	// the output is byte-identical at any setting.
-	ProbePartitionMin int
-
 	// JoinBackend overrides the physical-join implementation of every
 	// engine the miner builds (nil = the engine's built-in columnar joins).
 	// Planning, stats accounting and result assembly are unchanged either

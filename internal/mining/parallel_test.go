@@ -86,35 +86,6 @@ func TestMineJoinWorkerDeterminism(t *testing.T) {
 	}
 }
 
-// TestMineJoinWorkersWithPartitionedProbe forces the inner partitioned
-// hash probe on by dropping the partition threshold to 1 row, so the
-// worker-pool determinism holds even when every probe is itself sharded.
-func TestMineJoinWorkersWithPartitionedProbe(t *testing.T) {
-	f := newFixture(t)
-	serial, err := Mine(f.store, f.seeds, "FootballPlayer", f.window, parallelConfig(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// mineWith drives the internal miner the same way Mine does, but lowers
-	// the partition threshold before any join runs.
-	mineWith := func(workers int) *Result {
-		t.Helper()
-		m := newMiner(f.store, f.seeds, "FootballPlayer", f.window, parallelConfig(workers))
-		m.partitionMin = 1
-		m.engine.ProbePartitionMin = 1
-		m.extractEntities(f.seeds)
-		m.seedSingletons()
-		m.grow()
-		return m.result()
-	}
-	par := mineWith(4)
-	requireSameScored(t, "Patterns", serial.Patterns, par.Patterns)
-	requireSameScored(t, "AllFrequent", serial.AllFrequent, par.AllFrequent)
-	if got, want := stripDurations(par.Stats), stripDurations(serial.Stats); got != want {
-		t.Fatalf("stats diverge with partitioned probe:\nserial   %+v\nparallel %+v", want, got)
-	}
-}
-
 // TestMineRelativeDeterminismAcrossWorkers extends the contract to
 // Algorithm 1's relative stage, which reuses the same miner internals.
 func TestMineRelativeDeterminismAcrossWorkers(t *testing.T) {

@@ -39,7 +39,7 @@ const Version = 1
 
 // ErrNotModel reports that a file is not a wiclean model at all (wrong or
 // missing format name) — distinct from a malformed or stale model, so
-// callers can fall back to legacy readers.
+// callers can tell a foreign file from a corrupt one.
 var ErrNotModel = errors.New("model: not a wiclean model file")
 
 // StaleError reports a provenance mismatch: the model was mined from

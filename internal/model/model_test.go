@@ -12,6 +12,7 @@ import (
 	"wiclean/internal/dump"
 	"wiclean/internal/mining"
 	"wiclean/internal/model"
+	"wiclean/internal/pattern"
 	"wiclean/internal/taxonomy"
 	"wiclean/internal/windows"
 )
@@ -226,6 +227,26 @@ func TestReadRejections(t *testing.T) {
 		})))
 		if err == nil || !strings.Contains(err.Error(), "canonical") {
 			t.Fatalf("err = %v, want canonical mismatch", err)
+		}
+	})
+	t.Run("variable-out-of-range", func(t *testing.T) {
+		_, err := model.Read(strings.NewReader(encode(func(f *model.File) {
+			f.Patterns = append([]model.PatternRecord(nil), f.Patterns...)
+			p := f.Patterns[0].Pattern.Clone()
+			p.Actions[0].Dst = pattern.VarID(len(p.Vars) + 8)
+			f.Patterns[0].Pattern = p
+		})))
+		if err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Fatalf("err = %v, want an out-of-range variable error", err)
+		}
+	})
+	t.Run("zero-width", func(t *testing.T) {
+		_, err := model.Read(strings.NewReader(encode(func(f *model.File) {
+			f.Patterns = append([]model.PatternRecord(nil), f.Patterns...)
+			f.Patterns[0].Width = 0
+		})))
+		if err == nil || !strings.Contains(err.Error(), "width") {
+			t.Fatalf("err = %v, want a width error", err)
 		}
 	})
 	t.Run("empty-span", func(t *testing.T) {

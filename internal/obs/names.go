@@ -25,9 +25,8 @@ const (
 
 	// Relational engine (internal/relational). The join histogram and the
 	// planner counter carry a strategy label.
-	RelationalJoinSeconds       = "wiclean_relational_join_duration_seconds"
-	RelationalPlannerDecisions  = "wiclean_relational_planner_decisions_total"
-	RelationalPartitionedProbes = "wiclean_relational_partitioned_probes_total"
+	RelationalJoinSeconds      = "wiclean_relational_join_duration_seconds"
+	RelationalPlannerDecisions = "wiclean_relational_planner_decisions_total"
 
 	// Columnar engine: interned single-key probes (hash joins whose key is
 	// a dictionary ID, probed by exact value instead of FNV fold) and the
@@ -144,14 +143,12 @@ const (
 	LimiterClients    = "wiclean_limiter_clients"
 	LimiterQueueDepth = "wiclean_limiter_queue_depth"
 
-	// Layered /suggest response cache (internal/plugin): hits/misses count
-	// lookups against the memory tier; disk hits count misses served (and
-	// promoted) from the disk tier; evictions/bytes/entries describe the
-	// memory tier; coalesced counts requests that waited on another
-	// identical in-flight computation instead of recomputing.
+	// /suggest response cache (internal/plugin): hits/misses count
+	// lookups; evictions/bytes/entries describe the LRU; coalesced counts
+	// requests that waited on another identical in-flight computation
+	// instead of recomputing.
 	SuggestCacheHits      = "wiclean_suggest_cache_hits_total"
 	SuggestCacheMisses    = "wiclean_suggest_cache_misses_total"
-	SuggestCacheDiskHits  = "wiclean_suggest_cache_disk_hits_total"
 	SuggestCacheEvictions = "wiclean_suggest_cache_evictions_total"
 	SuggestCacheBytes     = "wiclean_suggest_cache_bytes"
 	SuggestCacheEntries   = "wiclean_suggest_cache_entries"

@@ -2,6 +2,7 @@ package plugin
 
 import (
 	"context"
+	"errors"
 	"sync"
 
 	"wiclean/internal/obs"
@@ -33,13 +34,18 @@ func newFlightGroup(reg *obs.Registry) *flightGroup {
 	return &flightGroup{obs: reg, flights: map[string]*flight{}}
 }
 
+// errLeaderPanicked is what waiters receive when the leader's fn panicked.
+var errLeaderPanicked = errors.New("plugin: coalesced computation panicked")
+
 // Do returns the result of fn for key, running fn exactly once across
 // all concurrent callers of the same key. shared reports whether this
 // caller waited on another caller's computation (the coalesced case). A
 // waiter whose ctx ends before the leader finishes returns ctx.Err();
 // the leader itself always runs fn to completion so the shared result
 // (and the cache insert inside fn) is never lost to one impatient
-// client.
+// client. If fn panics, the flight is still released — waiters get
+// errLeaderPanicked and the next caller for key leads afresh — and the
+// panic continues up the leader's stack.
 func (g *flightGroup) Do(ctx context.Context, key string, fn func() ([]byte, error)) (body []byte, shared bool, err error) {
 	g.mu.Lock()
 	if f, ok := g.flights[key]; ok {
@@ -56,11 +62,17 @@ func (g *flightGroup) Do(ctx context.Context, key string, fn func() ([]byte, err
 	g.flights[key] = f
 	g.mu.Unlock()
 
+	returned := false
+	defer func() {
+		if !returned {
+			f.body, f.err = nil, errLeaderPanicked
+		}
+		g.mu.Lock()
+		delete(g.flights, key)
+		g.mu.Unlock()
+		close(f.done)
+	}()
 	f.body, f.err = fn()
-
-	g.mu.Lock()
-	delete(g.flights, key)
-	g.mu.Unlock()
-	close(f.done)
+	returned = true
 	return f.body, false, f.err
 }

@@ -165,3 +165,45 @@ func TestFlightGroupWaiterCtxCancel(t *testing.T) {
 	close(gate) // the leader was never interrupted
 	wg.Wait()
 }
+
+// TestFlightGroupLeaderPanicReleasesKey pins that a panicking leader does
+// not poison its key: the panic reaches the leader's caller, a parked
+// waiter gets an error, and the next Do on the same key leads and returns
+// its own body instead of waiting on a flight that never completes.
+func TestFlightGroupLeaderPanicReleasesKey(t *testing.T) {
+	reg := obs.NewRegistry()
+	g := newFlightGroup(reg)
+	leaderIn := make(chan struct{})
+	gate := make(chan struct{})
+	leaderDone := make(chan any, 1)
+	go func() {
+		defer func() { leaderDone <- recover() }()
+		_, _, _ = g.Do(context.Background(), "k", func() ([]byte, error) {
+			close(leaderIn)
+			<-gate
+			panic("boom")
+		})
+	}()
+	<-leaderIn
+
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	waiterDone := make(chan error, 1)
+	go func() {
+		_, _, err := g.Do(ctx, "k", func() ([]byte, error) { return nil, nil })
+		waiterDone <- err
+	}()
+	waitCoalesced(t, reg, 1)
+	close(gate)
+	if r := <-leaderDone; r == nil {
+		t.Error("leader panic was swallowed")
+	}
+	if err := <-waiterDone; !errors.Is(err, errLeaderPanicked) {
+		t.Errorf("waiter err = %v, want errLeaderPanicked", err)
+	}
+
+	b, shared, err := g.Do(ctx, "k", func() ([]byte, error) { return []byte("fresh"), nil })
+	if err != nil || shared || string(b) != "fresh" {
+		t.Fatalf("Do after a leader panic got (%q, shared=%v, err=%v), want its own body", b, shared, err)
+	}
+}

@@ -130,7 +130,7 @@ type Server struct {
 	debug     bool
 
 	// The high-QPS serving layer in front of /suggest, all optional:
-	// admission (limiter + accept queue), the layered response cache,
+	// admission (limiter + accept queue), the response cache,
 	// and singleflight coalescing of identical in-flight computations.
 	limiter *Limiter
 	queue   *AcceptQueue
@@ -182,7 +182,7 @@ func (s *Server) WithQueue(q *AcceptQueue) *Server {
 	return s
 }
 
-// WithCache installs the layered response cache on /suggest; nil (the
+// WithCache installs the response cache on /suggest; nil (the
 // default) recomputes every request.
 func (s *Server) WithCache(c *ResponseCache) *Server {
 	s.cache = c
@@ -468,7 +468,7 @@ func decodeSuggest(w http.ResponseWriter, r *http.Request) (req SuggestRequest, 
 
 // handleSuggest is the hardened high-QPS serving path, stage by stage:
 // per-client limiter → bounded accept queue → size-bounded decode and
-// validation → layered response cache → singleflight coalescing →
+// validation → response cache → singleflight coalescing →
 // assistant compute. Cached and computed responses are byte-identical
 // (both are the serialized advice list), and every cache key embeds the
 // serving model's fingerprint, so a hot swap atomically invalidates.

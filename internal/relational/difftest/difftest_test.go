@@ -27,9 +27,8 @@ import (
 )
 
 // scales are the synthetic universe sizes (seed-entity counts) of the
-// sweep: large enough that every strategy runs real multi-row joins (the
-// partitioned probe fires via the lowered threshold below), small enough
-// that the full matrix stays a unit test.
+// sweep: large enough that every strategy runs real multi-row joins,
+// small enough that the full matrix stays a unit test.
 var scales = []int{20, 40, 60}
 
 // world generates the soccer universe at one scale, deterministically.
@@ -204,22 +203,6 @@ func TestColumnarMatchesRowRefAcrossStrategies(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestPartitionedProbeAgreesAcrossImpls forces the sharded hash probe on
-// for every join (threshold 1) and re-checks columnar vs rowref, since the
-// chunk-stitched emission path is where a parallel rewrite would most
-// plausibly reorder rows.
-func TestPartitionedProbeAgreesAcrossImpls(t *testing.T) {
-	w := world(t, scales[0])
-	run := func(impl relational.Impl) []byte {
-		cfg := mineConfig(relational.HashStrategy, 4, impl)
-		cfg.ProbePartitionMin = 1
-		return encodeResult(t, mine(t, w, cfg))
-	}
-	if !bytes.Equal(run(nil), run(rowref.New())) {
-		t.Fatalf("columnar and rowref diverge under the partitioned probe")
 	}
 }
 

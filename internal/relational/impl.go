@@ -21,6 +21,9 @@ package relational
 //     Stats (and their Minus deltas) stay identical across Impls.
 //   - Joins/OuterJoins/RowsOut and planner counters are handled by the
 //     dispatch shell; implementations must not touch them.
+//   - A join runs on the calling goroutine and starts none of its own: the
+//     Engine is single-owner, and the miner already parallelizes by giving
+//     each JoinWorkers worker its own Engine.
 type Impl interface {
 	// Name identifies the implementation in test failure messages.
 	Name() string
@@ -28,18 +31,4 @@ type Impl interface {
 	Join(e *Engine, l, r *Table, spec JoinSpec, strat Strategy) *Table
 	// FullOuterJoin computes the null-padding outer join of Algorithm 3.
 	FullOuterJoin(e *Engine, l, r *Table, spec JoinSpec) *Table
-}
-
-// ProbeParts reports how many chunks the partitioned probe would split a
-// probe side of n rows into: 1 means the serial probe. Exported for Impls
-// that reproduce the partitioned path (rowref must partition identically
-// to attribute identical Stats).
-func (e *Engine) ProbeParts(n int) int {
-	if e.Parallelism <= 1 || n < e.probePartitionMin() {
-		return 1
-	}
-	if e.Parallelism > n {
-		return n
-	}
-	return e.Parallelism
 }

@@ -273,17 +273,6 @@ func (s Stats) Minus(o Stats) Stats {
 type Engine struct {
 	Strategy Strategy
 
-	// Parallelism > 1 enables the partitioned probe inside large hash
-	// joins: the probe side is split into that many contiguous chunks
-	// probed concurrently and stitched back in chunk order, so the output
-	// stays byte-identical to the serial probe.
-	Parallelism int
-
-	// ProbePartitionMin overrides DefaultProbePartitionMin when > 0 (the
-	// differential tests lower it to force the partitioned path on small
-	// tables).
-	ProbePartitionMin int
-
 	// Arena, when set, recycles join-output column buffers (see Arena).
 	Arena *Arena
 
@@ -294,8 +283,7 @@ type Engine struct {
 	Impl Impl
 
 	// Obs, when set, receives per-strategy join latency histograms,
-	// planner-decision counters, partitioned-probe and interned-probe
-	// counts. Nil costs nothing (not even the clock reads).
+	// planner-decision counters and interned-probe counts. Nil costs nothing (not even the clock reads).
 	Obs *obs.Registry
 
 	Stats Stats
@@ -382,24 +370,8 @@ func (w *colWriter) emit(li, ri int) {
 	w.n++
 }
 
-// absorb appends another writer's rows (chunk-order stitch of the
-// partitioned probe).
-func (w *colWriter) absorb(o *colWriter) {
-	for k := range w.out {
-		w.out[k] = append(w.out[k], o.out[k]...)
-	}
-	w.n += o.n
-}
-
 func (w *colWriter) table(cols []string) *Table {
 	return &Table{cols: cols, data: w.out, n: w.n}
-}
-
-// probeTally carries the per-chunk Stats contributions of a probe range so
-// partitioned chunks never contend on the engine.
-type probeTally struct {
-	comparisons  int64
-	internedHits int64
 }
 
 func (e *Engine) hashJoin(l, r *Table, spec JoinSpec) *Table {
@@ -426,11 +398,7 @@ func (e *Engine) hashJoin(l, r *Table, spec JoinSpec) *Table {
 		buildKeys, probeKeys = spec.EqR, spec.EqL
 	}
 
-	// probeRange scans probe rows [lo, hi) against the read-only build
-	// index into w — the unit both the serial and the partitioned probe
-	// share, so their outputs are identical by construction.
-	var probeRange func(lo, hi int, w *colWriter, t *probeTally)
-
+	w := newColWriter(l, r, spec, e.Arena)
 	if len(spec.EqL) == 1 {
 		// Interned probe: with a single equality pair the dictionary ID in
 		// the key column IS the key — index rows by exact Value, skip the
@@ -449,65 +417,51 @@ func (e *Engine) hashJoin(l, r *Table, spec JoinSpec) *Table {
 			}
 		}
 		pk := probe.data[probeKeys[0]]
-		probeRange = func(lo, hi int, w *colWriter, t *probeTally) {
-			for pi := lo; pi < hi; pi++ {
-				v := pk[pi]
-				if v.IsNull() {
-					continue
+		var hits int64
+		for pi := 0; pi < probe.n; pi++ {
+			v := pk[pi]
+			if v.IsNull() {
+				continue
+			}
+			for _, bi := range idx[v] {
+				li, ri := int(bi), pi
+				if !buildLeft {
+					li, ri = pi, int(bi)
 				}
-				for _, bi := range idx[v] {
-					li, ri := int(bi), pi
-					if !buildLeft {
-						li, ri = pi, int(bi)
-					}
-					t.comparisons++
-					t.internedHits++
-					if spec.neqOKAt(l, r, li, ri) {
-						w.emit(li, ri)
-					}
+				hits++
+				if spec.neqOKAt(l, r, li, ri) {
+					w.emit(li, ri)
 				}
 			}
 		}
-	} else {
-		idx := make(map[uint64][]int32, build.n)
-		for i := 0; i < build.n; i++ {
-			if k, ok := hashKeyAt(build, i, buildKeys); ok {
-				idx[k] = append(idx[k], int32(i))
-			}
+		e.Stats.Comparisons += hits
+		e.Stats.InternedProbeHits += hits
+		if e.Obs != nil && hits > 0 {
+			e.Obs.Counter(obs.RelationalInternedProbeHits).Add(hits)
 		}
-		probeRange = func(lo, hi int, w *colWriter, t *probeTally) {
-			for pi := lo; pi < hi; pi++ {
-				k, ok := hashKeyAt(probe, pi, probeKeys)
-				if !ok {
-					continue
-				}
-				for _, bi := range idx[k] {
-					li, ri := int(bi), pi
-					if !buildLeft {
-						li, ri = pi, int(bi)
-					}
-					t.comparisons++
-					if spec.eqOKAt(l, r, li, ri) && spec.neqOKAt(l, r, li, ri) {
-						w.emit(li, ri)
-					}
-				}
-			}
+		return w.table(cols)
+	}
+	idx := make(map[uint64][]int32, build.n)
+	for i := 0; i < build.n; i++ {
+		if k, ok := hashKeyAt(build, i, buildKeys); ok {
+			idx[k] = append(idx[k], int32(i))
 		}
 	}
-
-	var w *colWriter
-	var tally probeTally
-	if e.Parallelism > 1 && probe.n >= e.probePartitionMin() {
-		w, tally = e.partitionedProbe(l, r, spec, probe.n, probeRange)
-		e.Obs.Counter(obs.RelationalPartitionedProbes).Inc()
-	} else {
-		w = newColWriter(l, r, spec, e.Arena)
-		probeRange(0, probe.n, w, &tally)
-	}
-	e.Stats.Comparisons += tally.comparisons
-	e.Stats.InternedProbeHits += tally.internedHits
-	if e.Obs != nil && tally.internedHits > 0 {
-		e.Obs.Counter(obs.RelationalInternedProbeHits).Add(tally.internedHits)
+	for pi := 0; pi < probe.n; pi++ {
+		k, ok := hashKeyAt(probe, pi, probeKeys)
+		if !ok {
+			continue
+		}
+		for _, bi := range idx[k] {
+			li, ri := int(bi), pi
+			if !buildLeft {
+				li, ri = pi, int(bi)
+			}
+			e.Stats.Comparisons++
+			if spec.eqOKAt(l, r, li, ri) && spec.neqOKAt(l, r, li, ri) {
+				w.emit(li, ri)
+			}
+		}
 	}
 	return w.table(cols)
 }

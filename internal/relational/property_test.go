@@ -3,7 +3,6 @@ package relational
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -78,23 +77,14 @@ func randomJoinCase(rng *rand.Rand) (l, r *Table, spec JoinSpec) {
 }
 
 // differentialEngines are every optimized configuration that must agree
-// with the naive nested-loop reference: plain hash, sort-merge, the
-// planner, and the partitioned parallel probe forced on via a 1-row
-// threshold.
+// with the naive nested-loop reference: plain hash, sort-merge and the
+// planner.
 func differentialEngines() []*Engine {
 	return []*Engine{
 		{Strategy: HashStrategy},
 		{Strategy: SortMerge},
 		{Strategy: AutoStrategy},
-		{Strategy: HashStrategy, Parallelism: 4, ProbePartitionMin: 1},
 	}
-}
-
-func engineName(e *Engine) string {
-	if e.Parallelism > 1 {
-		return fmt.Sprintf("%s(parallel=%d)", e.Strategy, e.Parallelism)
-	}
-	return e.Strategy.String()
 }
 
 // Property: every optimized join configuration produces the same result
@@ -109,43 +99,8 @@ func TestJoinDifferentialProperty(t *testing.T) {
 			got := e.Join(l, r, spec)
 			if !sameRowMultiset(ref, got) {
 				t.Fatalf("case %d: %s disagrees with nested-loop\nspec %+v\nl (%d rows): %v\nr (%d rows): %v\nref %v\ngot %v",
-					i, engineName(e), spec, l.Len(), l.Rows(), r.Len(), r.Rows(), ref.Rows(), got.Rows())
+					i, e.Strategy, spec, l.Len(), l.Rows(), r.Len(), r.Rows(), ref.Rows(), got.Rows())
 			}
-		}
-	}
-}
-
-// Property: the partitioned probe is byte-identical to the serial hash
-// probe — same rows in the same order, not merely the same multiset. This
-// is the row-order half of the miner's determinism guarantee.
-func TestPartitionedProbeByteIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 300; i++ {
-		l, r, spec := randomJoinCase(rng)
-		serial := (&Engine{Strategy: HashStrategy}).Join(l, r, spec)
-		for _, workers := range []int{2, 3, 8} {
-			e := &Engine{Strategy: HashStrategy, Parallelism: workers, ProbePartitionMin: 1}
-			par := e.Join(l, r, spec)
-			if !reflect.DeepEqual(serial.Rows(), par.Rows()) {
-				t.Fatalf("case %d: partitioned probe (%d workers) reordered output\nspec %+v\nserial %v\nparallel %v",
-					i, workers, spec, serial.Rows(), par.Rows())
-			}
-		}
-	}
-}
-
-// Property: comparison counts are scheduling-independent — the partitioned
-// probe performs exactly the comparisons of the serial probe.
-func TestPartitionedProbeStatsDeterministic(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for i := 0; i < 200; i++ {
-		l, r, spec := randomJoinCase(rng)
-		serial := &Engine{Strategy: HashStrategy}
-		serial.Join(l, r, spec)
-		par := &Engine{Strategy: HashStrategy, Parallelism: 4, ProbePartitionMin: 1}
-		par.Join(l, r, spec)
-		if serial.Stats != par.Stats {
-			t.Fatalf("case %d: stats diverge\nserial %+v\nparallel %+v", i, serial.Stats, par.Stats)
 		}
 	}
 }
@@ -162,7 +117,7 @@ func TestNullKeysNeverMatch(t *testing.T) {
 	spec := JoinSpec{EqL: []int{0}, EqR: []int{0}, LOut: []int{0, 1}, ROut: []int{1}}
 	for _, e := range append(differentialEngines(), &Engine{Strategy: NestedLoop}) {
 		if out := e.Join(l, r, spec); out.Len() != 0 {
-			t.Fatalf("%s: null keys matched: %v", engineName(e), out.Rows())
+			t.Fatalf("%s: null keys matched: %v", e.Strategy, out.Rows())
 		}
 	}
 }
@@ -179,7 +134,7 @@ func TestCrossJoinStrategiesAgree(t *testing.T) {
 		for _, e := range differentialEngines() {
 			if got := e.Join(l, r, spec); !sameRowMultiset(ref, got) {
 				t.Fatalf("case %d: %s cross join disagrees: %v vs %v",
-					i, engineName(e), ref.Rows(), got.Rows())
+					i, e.Strategy, ref.Rows(), got.Rows())
 			}
 		}
 	}

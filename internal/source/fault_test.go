@@ -3,17 +3,20 @@ package source
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"testing"
 
+	"wiclean/internal/action"
 	"wiclean/internal/mining"
 	"wiclean/internal/obs"
+	"wiclean/internal/taxonomy"
 	"wiclean/internal/windows"
 )
 
 // runWindows executes a full Algorithm 2 walk over the given store and
-// returns the serialized model bytes — the comparison medium for the
-// determinism guarantees.
+// returns what the walk mined (final setting and discovered patterns) as
+// JSON — the comparison medium for the determinism guarantees.
 func runWindows(t *testing.T, w *testWorld, store mining.Store) []byte {
 	t.Helper()
 	cfg := windows.Defaults()
@@ -23,11 +26,17 @@ func runWindows(t *testing.T, w *testWorld, store mining.Store) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := windows.WriteModel(&buf, o.Model()); err != nil {
+	b, err := json.Marshal(struct {
+		SeedType   taxonomy.Type
+		Span       action.Window
+		Width      action.Time
+		Tau        float64
+		Discovered []windows.DiscoveredPattern
+	}{o.SeedType, o.Span, o.Width, o.Tau, o.Discovered})
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return b
 }
 
 // TestMiningByteIdenticalUnderTransientFaults is the resilience contract:

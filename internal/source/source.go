@@ -98,8 +98,8 @@ func Permanent(err error) error {
 }
 
 // IsPermanent reports whether err (or anything it wraps) was marked with
-// Permanent. Context cancellation and deadline expiry of the parent
-// context also count: the caller is gone, retrying serves nobody.
+// Permanent. Context errors do not count: a retry loop checks its own
+// ctx.Err() to stop once the caller is gone.
 func IsPermanent(err error) bool {
 	var pe *permanentError
 	return errors.As(err, &pe)
